@@ -25,13 +25,19 @@ object Linearization {
 
   final case class Result(scores: Array[Double], millis: Long)
 
+  /** Pair-walks per node, `⌈α·ln n/ε²⌉ ≥ 1`: the index build samples this
+    * many at every node with a non-trivial D, and budget checks multiply it by n.
+    */
+  def pairsPerNode(n: Int, eps: Double, alpha: Double): Long =
+    math.ceil(alpha * math.log(n.max(2)) / (eps * eps)).toLong.max(1L)
+
   /** Build the diagonal index: Algorithm-2 sampling at every node. */
   def buildIndex(graph: GraphData, c: Double, eps: Double, alpha: Double,
                  seed: Long = 42): Index = {
     val t0 = System.nanoTime()
     val spark = graph.spark
     val n = graph.n
-    val rNode = math.ceil(alpha * math.log(n.max(2)) / (eps * eps)).toLong.max(1L)
+    val rNode = pairsPerNode(n, eps, alpha)
     val bc = spark.sparkContext.broadcast(graph.csr)
     val tasks = (0 until n).map(k => k -> rNode)
     val res = DiagEstimator.basic(spark, bc, tasks, c, seed)
@@ -45,6 +51,7 @@ object Linearization {
     */
   def singleSource(graph: GraphData, source: Int, index: Index, c: Double, eps: Double,
                    engine: Option[LinEngine] = None): Result = {
+    graph.requireSource(source)
     val t0 = System.nanoTime()
     val eng = engine.getOrElse(new SparkEngine(graph))
     val n = graph.n

@@ -15,6 +15,7 @@ object ParSim {
 
   def singleSource(graph: GraphData, source: Int, c: Double, iters: Int,
                    engine: Option[LinEngine] = None): Result = {
+    graph.requireSource(source)
     val t0 = System.nanoTime()
     val eng = engine.getOrElse(new SparkEngine(graph))
     val fwd = Linearized.forward(eng, source, c, iters)

@@ -47,13 +47,15 @@ object PrSim {
     pi
   }
 
-  /** Pair-walk count the index build would need (budget checks, no walks run). */
-  def plannedPairs(graph: GraphData, c: Double, eps: Double, alpha: Double,
-                   engine: Option[LinEngine] = None): Long = {
-    val n = graph.n
-    val pr = globalPageRank(graph, c, Linearized.iterationsFor(c, eps), engine)
+  /** The index's sampling tasks `(k, R(k))` over the support of `pr`, with
+    * `R(k) = ⌈n·R_base·pr(k)²⌉ ≥ 1`. The index build samples exactly these;
+    * budget checks sum them without running any walks.
+    */
+  def pairTasks(n: Int, pr: Array[Double], eps: Double, alpha: Double): IndexedSeq[(Int, Long)] = {
     val rBase = alpha * math.log(n.max(2)) / (eps * eps)
-    pr.collect { case p if p > 0.0 => math.ceil(n * rBase * p * p).toLong.max(1L) }.sum
+    (0 until n).collect {
+      case k if pr(k) > 0.0 => k -> math.ceil(n * rBase * pr(k) * pr(k)).toLong.max(1L)
+    }
   }
 
   def buildIndex(graph: GraphData, c: Double, eps: Double, alpha: Double,
@@ -66,12 +68,8 @@ object PrSim {
     val pr = precomputedPr.getOrElse(globalPageRank(graph, c, iters, engine))
     var normSq = 0.0
     pr.foreach(p => normSq += p * p)
-    val rBase = alpha * math.log(n.max(2)) / (eps * eps)
-    val tasks = (0 until n).collect {
-      case k if pr(k) > 0.0 => k -> math.ceil(n * rBase * pr(k) * pr(k)).toLong.max(1L)
-    }
     val bc = spark.sparkContext.broadcast(graph.csr)
-    val res = DiagEstimator.basic(spark, bc, tasks.toIndexedSeq, c, seed)
+    val res = DiagEstimator.basic(spark, bc, pairTasks(n, pr, eps, alpha), c, seed)
     val dhat = Array.tabulate(n)(k => res.dhat.getOrElse(k, 1.0 - c))
     bc.destroy()
     Index(dhat, res.walkPairs, normSq, (System.nanoTime() - t0) / 1000000)
@@ -79,6 +77,7 @@ object PrSim {
 
   def singleSource(graph: GraphData, source: Int, index: Index, c: Double, eps: Double,
                    engine: Option[LinEngine] = None): Result = {
+    graph.requireSource(source)
     val t0 = System.nanoTime()
     val eng = engine.getOrElse(new SparkEngine(graph))
     val fwd = Linearized.forward(eng, source, c, Linearized.iterationsFor(c, eps))

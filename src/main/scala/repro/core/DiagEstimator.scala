@@ -19,10 +19,11 @@ import scala.collection.mutable
   *   non-stopping, scaled by `c^{ℓ(k)}`.
   *
   * Both run as distributed Spark jobs over the tasks `(k, R(k))` with a
-  * broadcast CSR (the paper's §3.2 parallelization). [[localExploit]] splits
-  * each node into a deterministic phase (one task per node, edge-budgeted)
-  * and a sampling phase that is chunked across the cluster like Algorithm 2,
-  * so a hub node with a huge `R(k)` cannot serialize onto one core.
+  * broadcast CSR (the paper's §3.2 parallelization), and both sample with
+  * [[Walks.pairTailMeetCounts]], which chunks each node's pairs across the
+  * cluster so a hub node with a huge `R(k)` cannot serialize onto one core.
+  * [[localExploit]] adds a deterministic phase before it (one task per node,
+  * edge-budgeted).
   */
 object DiagEstimator {
 
@@ -45,14 +46,15 @@ object DiagEstimator {
     case _ => None
   }
 
-  /** Algorithm 2 driven by the distributed walk engine. */
+  /** Algorithm 2 driven by the distributed walk engine: the tail sampler with
+    * prefix 0, since Algorithm 2 is Algorithm 3 with ℓ(k) = 0.
+    */
   def basic(spark: SparkSession, csr: Broadcast[Csr], tasks: Seq[(Int, Long)],
             c: Double, seed: Long): DiagResult = {
     val g = csr.value
     val (triv, sampled) = tasks.partition { case (k, _) => trivial(g, k, c).isDefined }
     val trivMap = triv.map { case (k, _) => k -> trivial(g, k, c).get }.toMap
-    if (sampled.isEmpty) return DiagResult(trivMap, 0L, 0L)
-    val counts = Walks.pairMeetCounts(spark, csr, sampled, c, seed)
+    val counts = Walks.pairTailMeetCounts(spark, csr, sampled.map { case (k, r) => (k, r, 0) }, c, seed)
     val est = counts.map { case (k, mc) => k -> (1.0 - mc.meets.toDouble / mc.pairs) }
     DiagResult(trivMap ++ est, sampled.map(_._2).sum, 0L)
   }

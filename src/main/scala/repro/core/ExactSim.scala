@@ -44,9 +44,15 @@ final case class ExactSimConf(
   def truncationThreshold: Double =
     if (sparse) (1 - sqrtC) * (1 - sqrtC) * epsEff else 0.0
 
-  /** Total pair-walk budget before the ‖π_i‖² reduction. */
-  def totalSamples(n: Int): Long =
-    math.ceil(alpha * math.log(n.max(2)) / (epsEff * epsEff)).toLong.max(1L)
+  /** Total pair-walk budget before the ‖π_i‖² reduction. A budget of 2⁶³ or
+    * more does not fit a Long and is rejected rather than saturated.
+    */
+  def totalSamples(n: Int): Long = {
+    val r = math.ceil(alpha * math.log(n.max(2)) / (epsEff * epsEff))
+    require(r < Long.MaxValue.toDouble,
+      f"sample budget $r%.3g for eps=$eps%s, alpha=$alpha%s, n=$n does not fit a Long (limit 2^63)")
+    r.toLong.max(1L)
+  }
 }
 
 object ExactSimConf {
@@ -92,6 +98,7 @@ object ExactSim {
 
   def singleSource(graph: GraphData, source: Int, conf: ExactSimConf,
                    engine: Option[LinEngine] = None): ExactSimResult = {
+    graph.requireSource(source)
     val spark = graph.spark
     val t0 = System.nanoTime()
     val eng = engine.getOrElse(new SparkEngine(graph))

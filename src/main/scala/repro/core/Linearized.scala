@@ -21,8 +21,10 @@ object Linearized {
   /** Forward pass result.
     *
     * @param hops  π_i^0 .. π_i^L (truncated if `threshold > 0`)
-    * @param pi    Σ_ℓ π_i^ℓ — the (untruncated) PPR vector used for sample
-    *              allocation; sums to ≤ 1 (dangling nodes leak mass)
+    * @param pi    Σ_ℓ π_i^ℓ over the stored (truncated) hops — the PPR vector
+    *              used for sample allocation; sums to ≤ 1 (dangling nodes leak
+    *              mass). Every node whose D̂ the backward pass reads appears in
+    *              a stored hop, so it has π(k) > 0 and gets at least one pair.
     */
   final case class Forward(hops: IndexedSeq[SparseVec], pi: Array[Double]) {
     def piNormSq: Double = { var s = 0.0; var i = 0; while (i < pi.length) { s += pi(i) * pi(i); i += 1 }; s }

@@ -2,7 +2,7 @@ package repro.core
 
 import java.util.SplittableRandom
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.Csr
 
 /** Distributed √c-walk simulation.
@@ -20,49 +20,15 @@ object Walks {
 
   val ChunkSize = 8192
 
-  /** One D̂ sampling task: simulate `pairs` independent √c-walk pairs from
-    * `node` (Algorithm 2) and report how many pairs met.
-    */
+  /** Sampler output for one node: `pairs` walk pairs drawn, `meets` of them met. */
   final case class MeetCount(node: Int, pairs: Long, meets: Long)
 
-  /** Simulate pair-walks per node: input (node, numPairs); output per-node
-    * totals. `Pr[meet]`'s complement is the Algorithm-2 estimator for D(k,k).
-    */
-  def pairMeetCounts(spark: SparkSession, csr: Broadcast[Csr], tasks: Seq[(Int, Long)],
-                     c: Double, seed: Long): Map[Int, MeetCount] = {
-    import spark.implicits._
-    val chunks = tasks.flatMap { case (node, pairs) =>
-      val full = (pairs / ChunkSize).toInt
-      val rem = pairs - full.toLong * ChunkSize
-      (0 until full).map(ci => (node, ChunkSize.toLong, ci)) ++
-        (if (rem > 0) Seq((node, rem, full)) else Nil)
-    }
-    val parts = math.min(512, math.max(spark.sparkContext.defaultParallelism, chunks.size / 4 + 1))
-    val ds: Dataset[(Int, Long, Int)] = spark.createDataset(chunks).repartition(parts)
-    val res = ds.mapPartitions { it =>
-      val g = csr.value
-      val sqrtC = math.sqrt(c)
-      it.map { case (node, pairs, chunk) =>
-        val rng = new SplittableRandom(mix(seed, node, chunk))
-        var meets = 0L
-        var r = 0L
-        while (r < pairs) {
-          if (simulatePairMeet(g, node, node, sqrtC, rng)) meets += 1
-          r += 1
-        }
-        (node, pairs, meets)
-      }
-    }.toDF("node", "pairs", "meets")
-      .groupBy("node")
-      .agg(org.apache.spark.sql.functions.sum("pairs").as("pairs"),
-           org.apache.spark.sql.functions.sum("meets").as("meets"))
-    res.collect().map(r => r.getInt(0) -> MeetCount(r.getInt(0), r.getLong(1), r.getLong(2))).toMap
-  }
-
-  /** Tail sampling of Algorithm 3, chunked like [[pairMeetCounts]]: input
+  /** The pair-walk sampler, for both D̂ estimators: input
     * (node, pairs, prefixLen); a pair counts as a meet iff the walks survive
     * `prefixLen` forced (non-stopping) steps without meeting or dying and
     * the subsequent √c-walks meet. The caller scales by `c^prefixLen`.
+    * With prefixLen = 0 this is Algorithm 2's sampler: the meet fraction
+    * estimates `1 − D(k,k)`. Algorithm 3 passes its level ℓ(k) for the tail.
     */
   def pairTailMeetCounts(spark: SparkSession, csr: Broadcast[Csr],
                          tasks: Seq[(Int, Long, Int)], c: Double, seed: Long): Map[Int, MeetCount] = {

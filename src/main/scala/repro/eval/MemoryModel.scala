@@ -1,8 +1,5 @@
 package repro.eval
 
-import repro.core.ExactSimResult
-import repro.graph.GraphData
-
 /** Memory accounting for the paper's Table 3.
   *
   * The dominant space term of ExactSim is the stored ℓ-hop PPR vectors:
@@ -18,9 +15,6 @@ object MemoryModel {
     def basicOverGraph: Double = basicBytes.toDouble / graphBytes
     def basicOverOptimized: Double = basicBytes.toDouble / optimizedBytes
   }
-
-  def fromRun(graph: GraphData, optimized: ExactSimResult): Row =
-    Row(graph.name, optimized.denseHopVectorBytes, optimized.hopVectorBytes, graph.graphBytes)
 
   def fmtMB(bytes: Long): String = f"${bytes / 1048576.0}%.2f"
 }

@@ -59,6 +59,10 @@ final class GraphData(val spark: SparkSession, val name: String, val n: Int, raw
     */
   def graphBytes: Long = m * 8L
 
+  /** Fails fast, naming the source and n, unless `source` is a node id. */
+  def requireSource(source: Int): Unit =
+    require(0 <= source && source < n, s"query source $source is out of range for $name (n = $n)")
+
   def unpersistAll(): Unit = {
     edges.unpersist(); inDegrees.unpersist(); pEdges.unpersist()
   }

@@ -1,12 +1,20 @@
 package repro.baselines
 
 import repro.SimTestKit
+import repro.core.{DiagEstimator, Linearized}
 import repro.eval.Metrics
 import repro.linalg.LocalEngine
 
 class PrSimSpec extends SimTestKit {
 
   private def local(g: repro.graph.GraphData) = Some(new LocalEngine(g.csr))
+
+  /** The index build's tasks at `eps`, from its own PageRank. */
+  private def tasks(g: repro.graph.GraphData, eps: Double, alpha: Double): Seq[(Int, Long)] =
+    PrSim.pairTasks(g.n, PrSim.globalPageRank(g, C, Linearized.iterationsFor(C, eps), local(g)), eps, alpha)
+
+  private def plannedPairs(g: repro.graph.GraphData, eps: Double, alpha: Double): Long =
+    tasks(g, eps, alpha).map(_._2).sum
 
   test("globalPageRank is the average of the PPR vectors") {
     val g = rnd40
@@ -47,17 +55,20 @@ class PrSimSpec extends SimTestKit {
 
   test("plannedPairs matches the built index's walk count") {
     val g = rnd80
-    val planned = PrSim.plannedPairs(g, C, eps = 0.2, alpha = 2.0, local(g))
+    val planned = plannedPairs(g, eps = 0.2, alpha = 2.0)
     val idx = PrSim.buildIndex(g, C, eps = 0.2, alpha = 2.0, seed = 2, local(g))
-    // Planned counts every support node; the build skips trivial-D nodes.
-    assert(idx.walkPairs <= planned)
+    // The build samples every planned task except the trivial-D nodes.
+    val sampled = tasks(g, eps = 0.2, alpha = 2.0).collect {
+      case (k, r) if DiagEstimator.trivial(g.csr, k, C).isEmpty => r
+    }.sum
+    assert(idx.walkPairs == sampled && sampled <= planned)
     assert(planned > 0)
   }
 
   test("preprocessing cost scales with n·‖π̄‖²/ε² (the §2.2 obstacle)") {
     val g = rnd80
-    val coarse = PrSim.plannedPairs(g, C, eps = 0.2, alpha = 2.0, local(g))
-    val fine = PrSim.plannedPairs(g, C, eps = 0.02, alpha = 2.0, local(g))
+    val coarse = plannedPairs(g, eps = 0.2, alpha = 2.0)
+    val fine = plannedPairs(g, eps = 0.02, alpha = 2.0)
     assert(fine > 50 * coarse, s"fine $fine vs coarse $coarse") // 100× in theory, ceil noise
   }
 }

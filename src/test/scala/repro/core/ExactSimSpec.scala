@@ -33,6 +33,34 @@ class ExactSimSpec extends SimTestKit {
     intercept[IllegalArgumentException](ExactSimConf(eps = 0.0))
   }
 
+  test("totalSamples is ⌈α·ln n/ε_eff²⌉ at a normal configuration") {
+    val conf = ExactSimConf.optimized(1e-3, 1.0)
+    assert(conf.totalSamples(2000) == math.ceil(math.log(2000) / (5e-4 * 5e-4)).toLong)
+  }
+
+  test("totalSamples rejects a budget that does not fit a Long") {
+    // ε = 1e-9 at the paper's α on a 41.6M-node graph needs ≈1.6e23 pairs.
+    val conf = ExactSimConf.optimized(1e-9, ExactSimConf.paperAlpha(0.6))
+    val e = intercept[IllegalArgumentException](conf.totalSamples(41652230))
+    Seq("eps=1.0E-9", s"alpha=${conf.alpha}", "n=41652230").foreach(s => assert(e.getMessage.contains(s), e.getMessage))
+  }
+
+  test("query entry points reject a source outside 0..n-1") {
+    import repro.baselines.{Linearization, ParSim, PrSim}
+    val g = rnd40
+    val eng = Some(new LocalEngine(g.csr))
+    val d = exactD(g)
+    val entries: Seq[(String, Int => Any)] = Seq(
+      "ExactSim" -> (s => ExactSim.singleSourceLocal(g, s, ExactSimConf.optimized(0.1, 1.0))),
+      "PrSim" -> (s => PrSim.singleSource(g, s, PrSim.Index(d, 0L, 0.0, 0L), C, 0.1, eng)),
+      "ParSim" -> (s => ParSim.singleSource(g, s, C, 5, eng)),
+      "Linearization" -> (s => Linearization.singleSource(g, s, Linearization.Index(d, 0L, 0L), C, 0.1, eng)))
+    for ((name, query) <- entries; src <- Seq(g.n, -1)) {
+      val e = intercept[IllegalArgumentException](query(src))
+      assert(e.getMessage.contains(s"source $src") && e.getMessage.contains(s"n = ${g.n}"), s"$name: ${e.getMessage}")
+    }
+  }
+
   test("allocation: proportional mode gives ⌈R·π(k)⌉ to every support node") {
     val pi = Array(0.5, 0.25, 0.0, 0.001)
     val alloc = ExactSim.allocate(pi, 1000, piSquared = false).toMap

@@ -1,11 +1,13 @@
 package repro.core
 
 import repro.SimTestKit
-import repro.linalg.LocalEngine
+import repro.linalg.{LocalEngine, SparseVec}
 
 class LinearizedSpec extends SimTestKit {
 
   private val sqrtC = math.sqrt(0.6)
+
+  private def l1(h: SparseVec): Double = h.vals.map(math.abs).sum
 
   test("iterationsFor: c^L ≤ eps/2 with the minimal L") {
     for (eps <- Seq(1e-1, 1e-3, 1e-7)) {
@@ -20,17 +22,21 @@ class LinearizedSpec extends SimTestKit {
     val fwd = Linearized.forward(new LocalEngine(g.csr), 0, C, 12)
     fwd.hops.zipWithIndex.foreach { case (h, ell) =>
       val expect = (1 - sqrtC) * math.pow(sqrtC, ell)
-      assert(math.abs(h.l1 - expect) < 1e-12, s"hop $ell: ${h.l1} vs $expect")
+      assert(math.abs(l1(h) - expect) < 1e-12, s"hop $ell: ${l1(h)} vs $expect")
     }
   }
 
   for (name <- Seq("cycle7", "path6", "star8", "complete5", "pair", "rnd40", "rnd60u", "rnd80"))
     test(s"forward π sums the hop vectors and has mass ≤ 1 on $name") {
       val g = battery.find(_.name == name).get
-      val fwd = Linearized.forward(new LocalEngine(g.csr), 0, C, 25)
-      val sum = fwd.hops.map(_.l1).sum
-      assert(math.abs(fwd.pi.sum - sum) < 1e-9)
-      assert(fwd.pi.sum <= 1.0 + 1e-9)
+      // π is summed from the stored hops, so it must match them with
+      // truncation on as well as off.
+      for (threshold <- Seq(0.0, 1e-3)) {
+        val fwd = Linearized.forward(new LocalEngine(g.csr), 0, C, 25, threshold)
+        val sum = fwd.hops.map(l1).sum
+        assert(math.abs(fwd.pi.sum - sum) < 1e-9, s"threshold $threshold")
+        assert(fwd.pi.sum <= 1.0 + 1e-9)
+      }
     }
 
   test("dead ends leak walk mass (path graph loses everything past the head)") {

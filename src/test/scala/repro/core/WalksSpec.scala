@@ -1,18 +1,24 @@
 package repro.core
 
 import java.util.SplittableRandom
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SimTestKit}
+import repro.graph.Csr
 
 class WalksSpec extends SimTestKit {
 
   private val sqrtC = math.sqrt(C)
 
+  /** Algorithm 2's sampling: the tail sampler with prefix 0 at every node. */
+  private def pairMeetCounts(bc: Broadcast[Csr], tasks: Seq[(Int, Long)], seed: Long): Map[Int, Walks.MeetCount] =
+    Walks.pairTailMeetCounts(spark, bc, tasks.map { case (k, r) => (k, r, 0) }, C, seed)
+
   test("pair-walks from the shared-parent sinks meet with probability c") {
     // From node 0 of `pair`, both walks step to node 2 iff both continue (c);
     // they then coincide ⇒ Pr[meet] = c exactly.
     val bc = spark.sparkContext.broadcast(pair.csr)
-    val res = Walks.pairMeetCounts(spark, bc, Seq(0 -> 40000L), C, seed = 1)
+    val res = pairMeetCounts(bc, Seq(0 -> 40000L), seed = 1)
     val frac = res(0).meets.toDouble / res(0).pairs
     assert(math.abs(frac - C) < 0.01, s"meet fraction $frac vs $C")
     bc.destroy()
@@ -20,7 +26,7 @@ class WalksSpec extends SimTestKit {
 
   test("pair-walks on a cycle meet with probability c (deterministic movement)") {
     val bc = spark.sparkContext.broadcast(cycle7.csr)
-    val res = Walks.pairMeetCounts(spark, bc, Seq(3 -> 40000L), C, seed = 2)
+    val res = pairMeetCounts(bc, Seq(3 -> 40000L), seed = 2)
     val frac = res(3).meets.toDouble / res(3).pairs
     // Both walks move in lock-step; they "meet" at step 1 iff both continue.
     assert(math.abs(frac - C) < 0.01, s"meet fraction $frac vs $C")
@@ -32,7 +38,7 @@ class WalksSpec extends SimTestKit {
       val d = exactD(g)
       val k = (0 until g.n).find(v => g.csr.inDeg(v) >= 2).get
       val bc = spark.sparkContext.broadcast(g.csr)
-      val res = Walks.pairMeetCounts(spark, bc, Seq(k -> 60000L), C, seed = 3)
+      val res = pairMeetCounts(bc, Seq(k -> 60000L), seed = 3)
       val est = 1.0 - res(k).meets.toDouble / res(k).pairs
       assert(math.abs(est - d(k)) < 0.015, s"${g.name} node $k: $est vs ${d(k)}")
       bc.destroy()
@@ -42,19 +48,48 @@ class WalksSpec extends SimTestKit {
   test("task chunking preserves requested totals across many nodes") {
     val bc = spark.sparkContext.broadcast(rnd40.csr)
     val tasks = Seq(0 -> 100L, 1 -> 8192L, 2 -> 8193L, 3 -> 20000L)
-    val res = Walks.pairMeetCounts(spark, bc, tasks, C, seed = 4)
+    val res = pairMeetCounts(bc, tasks, seed = 4)
     tasks.foreach { case (k, r) => assert(res(k).pairs == r, s"node $k: ${res(k).pairs}") }
     bc.destroy()
   }
 
   test("pairMeetCounts is deterministic in the seed") {
     val bc = spark.sparkContext.broadcast(rnd40.csr)
-    val a = Walks.pairMeetCounts(spark, bc, Seq(5 -> 5000L), C, seed = 99)(5).meets
-    val b = Walks.pairMeetCounts(spark, bc, Seq(5 -> 5000L), C, seed = 99)(5).meets
-    val c2 = Walks.pairMeetCounts(spark, bc, Seq(5 -> 5000L), C, seed = 100)(5).meets
+    val a = pairMeetCounts(bc, Seq(5 -> 5000L), seed = 99)(5).meets
+    val b = pairMeetCounts(bc, Seq(5 -> 5000L), seed = 99)(5).meets
+    val c2 = pairMeetCounts(bc, Seq(5 -> 5000L), seed = 100)(5).meets
     assert(a == b)
     assert(a != c2, "different seeds should (overwhelmingly) differ")
     bc.destroy()
+  }
+
+  test("prefix 0 draws exactly Algorithm 2's pairs, chunk by chunk") {
+    // Algorithm 2 is Algorithm 3 with ℓ(k) = 0: replay each chunk's stream
+    // serially through simulatePairMeet(k, k) and compare the totals.
+    for (g <- Seq(rnd40, rnd60u, rnd80)) {
+      val nodes = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2).take(3)
+      val tasks = nodes.zip(Seq(1L, 8192L, 8193L))
+      val bc = spark.sparkContext.broadcast(g.csr)
+      val got = pairMeetCounts(bc, tasks, seed = 11)
+      tasks.foreach { case (k, pairs) =>
+        var meets = 0L
+        var chunk = 0
+        var left = pairs
+        while (left > 0) {
+          val rng = new SplittableRandom(Walks.mix(11, k, chunk))
+          val size = math.min(left, Walks.ChunkSize.toLong)
+          var r = 0L
+          while (r < size) {
+            if (Walks.simulatePairMeet(g.csr, k, k, sqrtC, rng)) meets += 1
+            r += 1
+          }
+          left -= size
+          chunk += 1
+        }
+        assert(got(k) == Walks.MeetCount(k, pairs, meets), s"${g.name} node $k, $pairs pairs")
+      }
+      bc.destroy()
+    }
   }
 
   test("simulatePairMeet from distinct cycle nodes never meets") {

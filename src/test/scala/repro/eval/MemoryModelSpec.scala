@@ -16,16 +16,6 @@ class MemoryModelSpec extends SimTestKit {
     assert(MemoryModel.fmtMB(5 * 1048576 + 524288) == "5.50")
   }
 
-  test("fromRun wires the ExactSim accounting through") {
-    val g = rnd80
-    val res = ExactSim.singleSourceLocal(g, 1, ExactSimConf.optimized(0.01, 1.0, seed = 1))
-    val row = MemoryModel.fromRun(g, res)
-    assert(row.basicBytes == res.denseHopVectorBytes)
-    assert(row.optimizedBytes == res.hopVectorBytes)
-    assert(row.graphBytes == g.graphBytes)
-    assert(row.basicBytes > row.optimizedBytes)
-  }
-
   test("dense bytes are a whole number of n·8 vectors bounded by (L+1)·n·8") {
     val g = rnd40
     val conf = ExactSimConf.optimized(0.05, 1.0, seed = 2)
