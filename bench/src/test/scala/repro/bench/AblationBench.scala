@@ -37,8 +37,10 @@ class AblationBench extends SparkSpec {
           s"$ds ${b.param}: optimized error ${o.maxError} exceeds nominal eps $eps")
       }
 
-      // Aggregate speedup over the ladder (paper: 10–100× on its testbed;
-      // our distributed mat-vec floor compresses it — still a clear win).
+      // Aggregate speedup over the ladder (paper: 10–100× on its testbed).
+      // Here D̂ estimation is nearly all of a query, and at ε_min the
+      // optimized variant's fewer walk pairs do not buy a proportional
+      // speedup, which compresses the aggregate.
       val speedup = matched.map(_._1.queryMillis).sum / matched.map(_._2.queryMillis).sum
       assert(speedup > 1.3, s"$ds: aggregate speedup $speedup")
     }

@@ -3,7 +3,6 @@ package repro.baselines
 import org.apache.spark.sql.SparkSession
 import repro.core.{DiagEstimator, Linearized}
 import repro.graph.GraphData
-import repro.linalg.{LinEngine, SparkEngine}
 
 /** Linearization (Maehara et al.): index-based.
   *
@@ -49,11 +48,10 @@ object Linearization {
   /** Query via eq. (5): for each level ℓ recompute `u_ℓ = P^ℓ e_i` from
     * scratch and accumulate `c^ℓ (Pᵀ)^ℓ D u_ℓ` — O(m·L²) work, O(n) space.
     */
-  def singleSource(graph: GraphData, source: Int, index: Index, c: Double, eps: Double,
-                   engine: Option[LinEngine] = None): Result = {
+  def singleSource(graph: GraphData, source: Int, index: Index, c: Double, eps: Double): Result = {
     graph.requireSource(source)
     val t0 = System.nanoTime()
-    val eng = engine.getOrElse(new SparkEngine(graph))
+    val csr = graph.csr
     val n = graph.n
     val iters = Linearized.iterationsFor(c, eps)
     val acc = new Array[Double](n)
@@ -62,11 +60,11 @@ object Linearization {
       var u = new Array[Double](n)
       u(source) = 1.0
       var s = 0
-      while (s < ell) { u = eng.mulP(u); s += 1 }
+      while (s < ell) { u = csr.mulP(u); s += 1 }
       var k = 0
       while (k < n) { u(k) *= index.dhat(k); k += 1 }
       s = 0
-      while (s < ell) { u = eng.mulPT(u); s += 1 }
+      while (s < ell) { u = csr.mulPT(u); s += 1 }
       val cl = math.pow(c, ell)
       k = 0
       while (k < n) { acc(k) += cl * u(k); k += 1 }

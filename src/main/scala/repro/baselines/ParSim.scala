@@ -2,7 +2,6 @@ package repro.baselines
 
 import repro.core.Linearized
 import repro.graph.GraphData
-import repro.linalg.{LinEngine, SparkEngine}
 
 /** ParSim (Yu & McCann): the linearized iteration with the approximation
   * `D = (1−c)·I`, i.e. the first-meeting constraint is ignored. Index-free;
@@ -13,14 +12,12 @@ object ParSim {
 
   final case class Result(scores: Array[Double], millis: Long)
 
-  def singleSource(graph: GraphData, source: Int, c: Double, iters: Int,
-                   engine: Option[LinEngine] = None): Result = {
+  def singleSource(graph: GraphData, source: Int, c: Double, iters: Int): Result = {
     graph.requireSource(source)
     val t0 = System.nanoTime()
-    val eng = engine.getOrElse(new SparkEngine(graph))
-    val fwd = Linearized.forward(eng, source, c, iters)
+    val fwd = Linearized.forward(graph.csr, source, c, iters)
     val dhat = Array.fill(graph.n)(1.0 - c)
-    val scores = Linearized.backward(eng, fwd, dhat, c)
+    val scores = Linearized.backward(graph.csr, fwd, dhat, c)
     scores(source) = 1.0
     Result(scores, (System.nanoTime() - t0) / 1000000)
   }

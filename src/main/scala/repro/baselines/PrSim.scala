@@ -2,7 +2,7 @@ package repro.baselines
 
 import repro.core.{DiagEstimator, Linearized}
 import repro.graph.GraphData
-import repro.linalg.{LinEngine, SparkEngine}
+import repro.linalg.LinEngine
 
 /** PRSim-lite (after Wei et al., SIGMOD'19).
   *
@@ -28,11 +28,14 @@ object PrSim {
   final case class Result(scores: Array[Double], millis: Long)
 
   /** Global PageRank proxy: π̄ = (1−√c)·Σ_ℓ (√c P)^ℓ · (1/n)·1 — the average
-    * of all PPR vectors, computed with the same distributed mat-vec.
+    * of all PPR vectors, computed with the same CSR mat-vec as the queries.
+    * `engine` defaults to `graph.csr`; it is a parameter only because
+    * `perfbench/src/main/scala/repro/perfbench/Trace.scala` passes a timing
+    * wrapper, and goes with the next benchmark change.
     */
   def globalPageRank(graph: GraphData, c: Double, iters: Int,
                      engine: Option[LinEngine] = None): Array[Double] = {
-    val eng = engine.getOrElse(new SparkEngine(graph))
+    val eng = engine.getOrElse(graph.csr)
     val n = graph.n
     val sqrtC = math.sqrt(c)
     var cur = Array.fill(n)((1.0 - sqrtC) / n)
@@ -59,13 +62,12 @@ object PrSim {
   }
 
   def buildIndex(graph: GraphData, c: Double, eps: Double, alpha: Double,
-                 seed: Long = 42, engine: Option[LinEngine] = None,
-                 precomputedPr: Option[Array[Double]] = None): Index = {
+                 seed: Long = 42, precomputedPr: Option[Array[Double]] = None): Index = {
     val t0 = System.nanoTime()
     val spark = graph.spark
     val n = graph.n
     val iters = Linearized.iterationsFor(c, eps)
-    val pr = precomputedPr.getOrElse(globalPageRank(graph, c, iters, engine))
+    val pr = precomputedPr.getOrElse(globalPageRank(graph, c, iters))
     var normSq = 0.0
     pr.foreach(p => normSq += p * p)
     val bc = spark.sparkContext.broadcast(graph.csr)
@@ -75,13 +77,11 @@ object PrSim {
     Index(dhat, res.walkPairs, normSq, (System.nanoTime() - t0) / 1000000)
   }
 
-  def singleSource(graph: GraphData, source: Int, index: Index, c: Double, eps: Double,
-                   engine: Option[LinEngine] = None): Result = {
+  def singleSource(graph: GraphData, source: Int, index: Index, c: Double, eps: Double): Result = {
     graph.requireSource(source)
     val t0 = System.nanoTime()
-    val eng = engine.getOrElse(new SparkEngine(graph))
-    val fwd = Linearized.forward(eng, source, c, Linearized.iterationsFor(c, eps))
-    val scores = Linearized.backward(eng, fwd, index.dhat, c)
+    val fwd = Linearized.forward(graph.csr, source, c, Linearized.iterationsFor(c, eps))
+    val scores = Linearized.backward(graph.csr, fwd, index.dhat, c)
     scores(source) = 1.0
     Result(scores, (System.nanoTime() - t0) / 1000000)
   }

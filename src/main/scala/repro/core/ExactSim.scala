@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.SparkSession
 import repro.graph.GraphData
-import repro.linalg.{LinEngine, LocalEngine, SparkEngine}
 
 /** Configuration for [[ExactSim]].
   *
@@ -88,21 +87,20 @@ final case class ExactSimResult(
   * single-source SimRank.
   *
   * Pipeline per query:
-  *  1. forward pass — ℓ-hop PPR vectors `π_i^ℓ` on the [[LinEngine]]
-  *     (distributed mat-vec), truncated if sparse Linearization is on;
+  *  1. forward pass — ℓ-hop PPR vectors `π_i^ℓ` by L products with `P` on
+  *     the driver-side CSR, truncated if sparse Linearization is on;
   *  2. sample allocation — `R(k) = ⌈R·π_i(k)⌉` or `⌈R·π_i(k)²/‖π_i‖²⌉`;
   *  3. D̂ estimation — Algorithm 2 or Algorithm 3 over distributed √c-walks;
-  *  4. backward pass — fold `D̂·π_i^ℓ` through `√c·Pᵀ` (eq. 8).
+  *  4. backward pass — fold `D̂·π_i^ℓ` through `√c·Pᵀ` (eq. 8), L products
+  *     with `Pᵀ` on the same CSR.
   */
 object ExactSim {
 
-  def singleSource(graph: GraphData, source: Int, conf: ExactSimConf,
-                   engine: Option[LinEngine] = None): ExactSimResult = {
+  def singleSource(graph: GraphData, source: Int, conf: ExactSimConf): ExactSimResult = {
     graph.requireSource(source)
     val spark = graph.spark
     val t0 = System.nanoTime()
-    val eng = engine.getOrElse(new SparkEngine(graph))
-    val fwd = Linearized.forward(eng, source, conf.c, conf.iterations, conf.truncationThreshold)
+    val fwd = Linearized.forward(graph.csr, source, conf.c, conf.iterations, conf.truncationThreshold)
 
     val r = conf.totalSamples(graph.n)
     val tasks = allocate(fwd.pi, r, conf.piSquared)
@@ -120,7 +118,7 @@ object ExactSim {
       k += 1
     }
 
-    val scores = Linearized.backward(eng, fwd, dhat, conf.c)
+    val scores = Linearized.backward(graph.csr, fwd, dhat, conf.c)
     scores(source) = 1.0 // S(i,i) = 1 by definition
     bc.destroy()
     ExactSimResult(scores, conf, diag.walkPairs, diag.edgesExplored,
@@ -145,7 +143,10 @@ object ExactSim {
     }
   }
 
-  /** Local-engine convenience wrapper (tests, ground-truth cross-checks). */
+  /** Alias of [[singleSource]]. Kept only because
+    * `perfbench/src/main/scala/repro/perfbench/Bench.scala` calls it by name;
+    * it goes with the next benchmark change.
+    */
   def singleSourceLocal(graph: GraphData, source: Int, conf: ExactSimConf): ExactSimResult =
-    singleSource(graph, source, conf, Some(new LocalEngine(graph.csr)))
+    singleSource(graph, source, conf)
 }

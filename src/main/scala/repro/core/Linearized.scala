@@ -9,8 +9,9 @@ import repro.linalg.{LinEngine, SparseVec}
   *
   * The forward pass produces the ℓ-hop PPR vectors (optionally truncated per
   * the sparse-Linearization optimization); the backward pass folds them with a
-  * diagonal `D̂` into the single-source SimRank vector. Both passes run on a
-  * pluggable [[LinEngine]] (distributed Spark dataflow or local CSR).
+  * diagonal `D̂` into the single-source SimRank vector. Both passes take their
+  * products from a [[LinEngine]]: the graph's driver-side CSR, or a wrapper
+  * around it that times each product.
   */
 object Linearized {
 

@@ -72,10 +72,6 @@ object Harness {
     val row = SweepRow(dataset, algo, param, ms.sum / ms.size, errs.sum / errs.size,
       precs.sum / precs.size, indexMillis, indexBytes, walkPairs, note)
     println(s"[row] ${row.tsv}") // incremental progress for long sweeps
-    // Nudge the driver GC so Spark's ContextCleaner reaps the per-job
-    // broadcasts/shuffles — without this, mat-vec latency creeps up over a
-    // long bench session (observed 0.16 s → 0.7 s per product).
-    System.gc()
     row
   }
 

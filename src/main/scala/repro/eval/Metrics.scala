@@ -23,10 +23,13 @@ object Metrics {
       .sortBy(i => (-scores(i), i))
       .take(k)
 
-  /** Fraction of the estimated top-k that appears in the true top-k. */
+  /** Fraction of the true top-k that the estimated top-k recovers. With fewer
+    * than k candidates both lists hold all of them, so the divisor is the size
+    * of the true top-k, not k.
+    */
   def precisionAtK(est: Array[Double], truth: Array[Double], k: Int, source: Int): Double = {
     val t = topK(truth, k, source).toSet
     val e = topK(est, k, source)
-    if (t.isEmpty) 1.0 else e.count(t.contains).toDouble / k
+    if (t.isEmpty) 1.0 else e.count(t.contains).toDouble / t.size
   }
 }

@@ -2,19 +2,23 @@ package repro.graph
 
 import java.util.SplittableRandom
 
+import repro.linalg.LinEngine
+
 /** Compact in-adjacency of a directed graph in CSR form.
   *
   * SimRank walks move to a uniform random **in**-neighbor, so the only
   * adjacency the algorithms need is `I(v)`. The structure is immutable and
   * small enough (two int arrays) to broadcast to Spark executors for
   * distributed √c-walk simulation and for Algorithm 3's local exploitation.
+  * It is also the one mat-vec engine: every query's forward and backward
+  * passes multiply here, on the driver, in `O(m)` per product.
   *
   * @param n     number of nodes, ids are `0 until n`
   * @param inOff offsets into `inAdj`; in-neighbors of `v` are
   *              `inAdj(inOff(v)) until inAdj(inOff(v+1))`
   * @param inAdj concatenated in-neighbor lists
   */
-final class Csr(val n: Int, val inOff: Array[Int], val inAdj: Array[Int]) extends Serializable {
+final class Csr(val n: Int, val inOff: Array[Int], val inAdj: Array[Int]) extends LinEngine with Serializable {
 
   /** Number of directed edges (u→v) — `u` an in-neighbor of `v`. */
   def m: Int = inAdj.length

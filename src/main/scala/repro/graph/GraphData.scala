@@ -9,13 +9,14 @@ import org.apache.spark.sql.functions._
   * no duplicates. Undirected input graphs are materialized with both
   * directions present, matching the SimRank convention of the paper.
   *
-  * The class derives, lazily and cached:
-  *  - `pEdges`: edges weighted by `w = 1/d_in(dst)` — the nonzeros of the
-  *    reverse transition matrix `P` (`P(i,j) = 1/d_in(j)` for `i∈I(j)`);
-  *  - `csr`: a driver-side CSR of in-adjacency, for walk simulation and
-  *    reference engines (collected once; graphs here are ≤ a few M edges).
+  * The class derives, lazily: the cached edge list `edges`, and `csr`, a
+  * driver-side CSR of in-adjacency for walk simulation and every mat-vec
+  * (collected once; graphs here are ≤ a few M edges).
   */
 final class GraphData(val spark: SparkSession, val name: String, val n: Int, rawEdges: DataFrame) {
+
+  /** Whether `edges` has been built (and cached). */
+  @volatile private var edgesBuilt = false
 
   /** Canonical cached edge list (src, dst). */
   lazy val edges: DataFrame = {
@@ -27,30 +28,32 @@ final class GraphData(val spark: SparkSession, val name: String, val n: Int, raw
       .repartition(parts)
       .cache()
     e.count() // materialize so downstream timings exclude generation
+    edgesBuilt = true
     e
   }
 
   lazy val m: Long = edges.count()
 
-  /** In-degree per node: (id, deg) — nodes with in-degree 0 are absent. */
-  lazy val inDegrees: DataFrame =
-    edges.groupBy(col("dst").as("id")).agg(count(lit(1)).as("deg")).cache()
-
-  /** Nonzeros of P: (src, dst, w) with w = 1/d_in(dst). */
-  lazy val pEdges: DataFrame = {
-    val p = edges
-      .join(inDegrees.withColumnRenamed("id", "dst"), "dst")
-      .select(col("src"), col("dst"), (lit(1.0) / col("deg")).as("w"))
-      .cache()
-    p.count()
-    p
+  /** Nonzeros of P as a DataFrame, uncached: (src, dst, w) with
+    * w = 1/d_in(dst). No query reads it; it is kept only because
+    * `perfbench/src/main/scala/repro/perfbench/Trace.scala` times building it,
+    * and goes with the next benchmark change.
+    */
+  def pEdges: DataFrame = {
+    val inDeg = edges.groupBy(col("dst")).agg(count(lit(1)).as("deg"))
+    edges.join(inDeg, "dst").select(col("src"), col("dst"), (lit(1.0) / col("deg")).as("w"))
   }
 
-  /** Driver-side CSR of the same graph (for walks and reference engines). */
+  /** Driver-side CSR of the same graph: the walks' adjacency and the one
+    * mat-vec engine. An id outside `0 until n` is rejected before it is
+    * narrowed to an Int, so it cannot wrap onto a valid node.
+    */
   lazy val csr: Csr = {
-    val pairs = edges
-      .collect()
-      .map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
+    val pairs = edges.collect().map { r =>
+      val (s, d) = (r.getLong(0), r.getLong(1))
+      require(0 <= s && s < n && 0 <= d && d < n, s"edge ($s,$d) of $name is out of range for n = $n")
+      (s.toInt, d.toInt)
+    }
     Csr.fromEdges(n, pairs.toIndexedSeq)
   }
 
@@ -63,9 +66,10 @@ final class GraphData(val spark: SparkSession, val name: String, val n: Int, raw
   def requireSource(source: Int): Unit =
     require(0 <= source && source < n, s"query source $source is out of range for $name (n = $n)")
 
-  def unpersistAll(): Unit = {
-    edges.unpersist(); inDegrees.unpersist(); pEdges.unpersist()
-  }
+  /** Drops the cached edge list; starts no Spark job, and builds nothing that
+    * was not built.
+    */
+  def unpersistAll(): Unit = if (edgesBuilt) edges.unpersist()
 
   override def toString: String = s"GraphData($name, n=$n, m=$m)"
 }

@@ -1,15 +1,15 @@
 package repro.linalg
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.graph.{Csr, GraphData}
+import repro.graph.GraphData
 
 /** Sparse matrix–vector products with the reverse transition matrix `P`
   * (`P(i,j) = 1/d_in(j)` for `i ∈ I(j)`).
   *
   * `mulP` advances a walk-occupancy distribution one step
   * (`x_{t+1} = P x_t`); `mulPT` is the backward/adjoint step used by the
-  * linearized accumulation (eq. 6/8 of the paper).
+  * linearized accumulation (eq. 6/8 of the paper). Every product is computed
+  * by the driver-side [[repro.graph.Csr]]; the trait is the seam a caller can
+  * wrap to time each product.
   */
 trait LinEngine {
   def n: Int
@@ -17,48 +17,12 @@ trait LinEngine {
   def mulPT(x: Array[Double]): Array[Double]
 }
 
-/** Driver-side reference engine over CSR. */
-final class LocalEngine(csr: Csr) extends LinEngine {
-  def n: Int = csr.n
-  def mulP(x: Array[Double]): Array[Double] = csr.mulP(x)
-  def mulPT(x: Array[Double]): Array[Double] = csr.mulPT(x)
-}
-
-/** Distributed Catalyst engine: each product is a broadcast join of the
-  * (small) vector against the cached weighted edge list, followed by a
-  * grouped sum. The result is collected back to the driver, which both keeps
-  * the iteration loop simple and truncates DataFrame lineage between steps.
+/** Forwards every product to `graph.csr`. Kept only because
+  * `perfbench/src/main/scala/repro/perfbench/Trace.scala` builds it by name;
+  * it goes with the next benchmark change.
   */
 final class SparkEngine(graph: GraphData) extends LinEngine {
-  private val spark: SparkSession = graph.spark
-  import spark.implicits._
-
   def n: Int = graph.n
-
-  private def vecDf(x: Array[Double]): DataFrame = {
-    val pairs = x.indices.collect { case i if x(i) != 0.0 => (i.toLong, x(i)) }
-    spark.createDataset(pairs.toIndexedSeq).toDF("id", "v")
-  }
-
-  private def collectVec(df: DataFrame): Array[Double] = {
-    val y = new Array[Double](n)
-    df.collect().foreach(r => y(r.getLong(0).toInt) = r.getDouble(1))
-    y
-  }
-
-  /** y(src) += w(src,dst) · x(dst): join the vector on `dst`, sum per `src`. */
-  def mulP(x: Array[Double]): Array[Double] = collectVec(
-    graph.pEdges
-      .join(broadcast(vecDf(x)).withColumnRenamed("id", "dst"), "dst")
-      .groupBy(col("src").as("id"))
-      .agg(sum(col("w") * col("v")).as("v"))
-  )
-
-  /** y(dst) += w(src,dst) · x(src): join the vector on `src`, sum per `dst`. */
-  def mulPT(x: Array[Double]): Array[Double] = collectVec(
-    graph.pEdges
-      .join(broadcast(vecDf(x)).withColumnRenamed("id", "src"), "src")
-      .groupBy(col("dst").as("id"))
-      .agg(sum(col("w") * col("v")).as("v"))
-  )
+  def mulP(x: Array[Double]): Array[Double] = graph.csr.mulP(x)
+  def mulPT(x: Array[Double]): Array[Double] = graph.csr.mulPT(x)
 }

@@ -3,17 +3,14 @@ package repro.baselines
 import repro.SimTestKit
 import repro.core.{Linearized, ExactSimConf}
 import repro.eval.Metrics
-import repro.linalg.LocalEngine
 
 class LinearizationSpec extends SimTestKit {
-
-  private def local(g: repro.graph.GraphData) = Some(new LocalEngine(g.csr))
 
   test("query with the exact diagonal reproduces the exact column (eq. 5 form)") {
     for (g <- Seq(star8, rnd40, rnd60u)) {
       val truth = groundTruth(g)
       val idx = Linearization.Index(exactD(g), 0L, 0L)
-      val res = Linearization.singleSource(g, 2, idx, C, eps = 1e-8, local(g))
+      val res = Linearization.singleSource(g, 2, idx, C, eps = 1e-8)
       assertVecNear(res.scores, truth(2), 1e-7, s"Linearization exact-D on ${g.name}")
     }
   }
@@ -21,9 +18,9 @@ class LinearizationSpec extends SimTestKit {
   test("eq-5 query (O(mL²)) equals the stored-hop-vector backward query") {
     val g = rnd80
     val d = exactD(g)
-    val eng = new LocalEngine(g.csr)
+    val eng = g.csr
     val eps = 1e-6
-    val eq5 = Linearization.singleSource(g, 9, Linearization.Index(d, 0L, 0L), C, eps, local(g)).scores
+    val eq5 = Linearization.singleSource(g, 9, Linearization.Index(d, 0L, 0L), C, eps).scores
     val fwd = Linearized.forward(eng, 9, C, Linearized.iterationsFor(C, eps))
     val back = Linearized.backward(eng, fwd, d, C)
     back(9) = 1.0
@@ -34,7 +31,7 @@ class LinearizationSpec extends SimTestKit {
     val g = rnd60u
     val truth = groundTruth(g)
     val idx = Linearization.buildIndex(g, C, eps = 0.05, alpha = 8.0, seed = 3)
-    val res = Linearization.singleSource(g, 1, idx, C, eps = 0.05, local(g))
+    val res = Linearization.singleSource(g, 1, idx, C, eps = 0.05)
     val err = Metrics.maxError(res.scores, truth(1))
     assert(err < 0.06, s"maxErr $err")
   }

@@ -1,8 +1,8 @@
 package repro.core
 
 import repro.SimTestKit
+import repro.graph.GraphData
 import repro.eval.Metrics
-import repro.linalg.LocalEngine
 
 class ExactSimSpec extends SimTestKit {
 
@@ -48,13 +48,12 @@ class ExactSimSpec extends SimTestKit {
   test("query entry points reject a source outside 0..n-1") {
     import repro.baselines.{Linearization, ParSim, PrSim}
     val g = rnd40
-    val eng = Some(new LocalEngine(g.csr))
     val d = exactD(g)
     val entries: Seq[(String, Int => Any)] = Seq(
-      "ExactSim" -> (s => ExactSim.singleSourceLocal(g, s, ExactSimConf.optimized(0.1, 1.0))),
-      "PrSim" -> (s => PrSim.singleSource(g, s, PrSim.Index(d, 0L, 0.0, 0L), C, 0.1, eng)),
-      "ParSim" -> (s => ParSim.singleSource(g, s, C, 5, eng)),
-      "Linearization" -> (s => Linearization.singleSource(g, s, Linearization.Index(d, 0L, 0L), C, 0.1, eng)))
+      "ExactSim" -> (s => ExactSim.singleSource(g, s, ExactSimConf.optimized(0.1, 1.0))),
+      "PrSim" -> (s => PrSim.singleSource(g, s, PrSim.Index(d, 0L, 0.0, 0L), C, 0.1)),
+      "ParSim" -> (s => ParSim.singleSource(g, s, C, 5)),
+      "Linearization" -> (s => Linearization.singleSource(g, s, Linearization.Index(d, 0L, 0L), C, 0.1)))
     for ((name, query) <- entries; src <- Seq(g.n, -1)) {
       val e = intercept[IllegalArgumentException](query(src))
       assert(e.getMessage.contains(s"source $src") && e.getMessage.contains(s"n = ${g.n}"), s"$name: ${e.getMessage}")
@@ -80,13 +79,13 @@ class ExactSimSpec extends SimTestKit {
       val truth = groundTruth(g)
       val conf = ExactSimConf.optimized(1e-6, testAlpha)
       (0 until g.n).foreach { src =>
-        val res = ExactSim.singleSourceLocal(g, src, conf)
+        val res = ExactSim.singleSource(g, src, conf)
         assertVecNear(res.scores, truth(src), 1e-6, s"${g.name} src $src")
       }
     }
 
   test("pair graph: S(0,·) is exactly (1, c, 0)") {
-    val res = ExactSim.singleSourceLocal(pair, 0, ExactSimConf.optimized(1e-7, 1.0))
+    val res = ExactSim.singleSource(pair, 0, ExactSimConf.optimized(1e-7, 1.0))
     assert(math.abs(res.scores(0) - 1.0) < 1e-12)
     assert(math.abs(res.scores(1) - C) < 1e-7)
     assert(math.abs(res.scores(2)) < 1e-12)
@@ -97,7 +96,7 @@ class ExactSimSpec extends SimTestKit {
       val g = battery.find(_.name == name).get
       val truth = groundTruth(g)
       val src = g.n / 3
-      val res = ExactSim.singleSourceLocal(g, src, ExactSimConf.optimized(0.02, testAlpha, seed = 7))
+      val res = ExactSim.singleSource(g, src, ExactSimConf.optimized(0.02, testAlpha, seed = 7))
       val err = Metrics.maxError(res.scores, truth(src))
       assert(err < 0.03, s"${g.name}: maxErr $err")
     }
@@ -106,7 +105,7 @@ class ExactSimSpec extends SimTestKit {
     for (g <- Seq(star8, complete5, rnd40, rnd60u)) {
       val truth = groundTruth(g)
       val src = 1
-      val res = ExactSim.singleSourceLocal(g, src, ExactSimConf.basic(0.02, testAlpha, seed = 8))
+      val res = ExactSim.singleSource(g, src, ExactSimConf.basic(0.02, testAlpha, seed = 8))
       val err = Metrics.maxError(res.scores, truth(src))
       assert(err < 0.03, s"${g.name}: maxErr $err")
     }
@@ -122,7 +121,7 @@ class ExactSimSpec extends SimTestKit {
       ("localExploit only", ExactSimConf(eps = 0.02, alpha = testAlpha, sparse = false, piSquared = false, localExploit = true, seed = 11)),
     )
     combos.foreach { case (name, conf) =>
-      val err = Metrics.maxError(ExactSim.singleSourceLocal(g, src, conf).scores, truth(src))
+      val err = Metrics.maxError(ExactSim.singleSource(g, src, conf).scores, truth(src))
       assert(err < 0.03, s"$name: maxErr $err")
     }
   }
@@ -132,7 +131,7 @@ class ExactSimSpec extends SimTestKit {
     val truth = groundTruth(g)
     val src = 2
     val errs = Seq(0.3, 0.03).map { eps =>
-      Metrics.maxError(ExactSim.singleSourceLocal(g, src,
+      Metrics.maxError(ExactSim.singleSource(g, src,
         ExactSimConf.optimized(eps, testAlpha, seed = 12)).scores, truth(src))
     }
     assert(errs(1) < errs(0), s"errors $errs should decrease with eps")
@@ -142,31 +141,35 @@ class ExactSimSpec extends SimTestKit {
   test("results are deterministic in the seed and engine-independent") {
     val g = rnd40
     val conf = ExactSimConf.optimized(0.05, 1.0, seed = 33)
-    val a = ExactSim.singleSourceLocal(g, 4, conf).scores
-    val b = ExactSim.singleSourceLocal(g, 4, conf).scores
-    val c2 = ExactSim.singleSource(g, 4, conf).scores // SparkEngine
-    assert(a.toSeq == b.toSeq)
-    assertVecNear(c2, a, 1e-9, "Spark vs local engine")
+    val a = ExactSim.singleSource(g, 4, conf).scores
+    val b = ExactSim.singleSource(g, 4, conf).scores
+    assert(java.util.Arrays.equals(a, b))
+    // The CSR is the only engine, so what can vary is the edge list it is
+    // built from: the same graph with its edges in another order gives the
+    // same bits.
+    val shuffled = GraphData.fromLocal(spark, "rnd40-reversed", g.n, g.csr.edgePairs.reverse.toSeq)
+    val c2 = ExactSim.singleSource(shuffled, 4, conf).scores
+    assert(java.util.Arrays.equals(c2, a), "answer depends on the edge order")
   }
 
   test("sparse mode stores strictly fewer hop-vector bytes than dense mode") {
     val g = rnd80
-    val dense = ExactSim.singleSourceLocal(g, 0, ExactSimConf(eps = 0.01, alpha = 1.0, sparse = false, seed = 1))
-    val sparse = ExactSim.singleSourceLocal(g, 0, ExactSimConf(eps = 0.01, alpha = 1.0, sparse = true, seed = 1))
+    val dense = ExactSim.singleSource(g, 0, ExactSimConf(eps = 0.01, alpha = 1.0, sparse = false, seed = 1))
+    val sparse = ExactSim.singleSource(g, 0, ExactSimConf(eps = 0.01, alpha = 1.0, sparse = true, seed = 1))
     assert(dense.denseHopVectorBytes > 0)
     assert(sparse.hopVectorBytes < dense.denseHopVectorBytes)
   }
 
   test("π² sampling uses far fewer walk pairs on skewed PPR (Lemma 3)") {
     val g = star8 // PPR from a leaf is concentrated: ‖π‖² close to ‖π‖₁²
-    val basic = ExactSim.singleSourceLocal(g, 1, ExactSimConf(eps = 0.01, alpha = testAlpha, sparse = false, piSquared = false, localExploit = false, seed = 2))
-    val opt = ExactSim.singleSourceLocal(g, 1, ExactSimConf(eps = 0.01, alpha = testAlpha, sparse = false, piSquared = true, localExploit = false, seed = 2))
+    val basic = ExactSim.singleSource(g, 1, ExactSimConf(eps = 0.01, alpha = testAlpha, sparse = false, piSquared = false, localExploit = false, seed = 2))
+    val opt = ExactSim.singleSource(g, 1, ExactSimConf(eps = 0.01, alpha = testAlpha, sparse = false, piSquared = true, localExploit = false, seed = 2))
     assert(opt.walkPairs < basic.walkPairs, s"${opt.walkPairs} vs ${basic.walkPairs}")
   }
 
   test("scores stay within [0, 1+eps] and the source scores 1") {
     for (g <- Seq(rnd40, rnd60u)) {
-      val res = ExactSim.singleSourceLocal(g, 3, ExactSimConf.optimized(0.05, 1.0, seed = 3))
+      val res = ExactSim.singleSource(g, 3, ExactSimConf.optimized(0.05, 1.0, seed = 3))
       assert(res.scores(3) == 1.0)
       res.scores.foreach(s => assert(s >= -0.05 && s <= 1.05))
     }
@@ -176,7 +179,7 @@ class ExactSimSpec extends SimTestKit {
     val g = rnd80
     val truth = groundTruth(g)
     val src = 7
-    val res = ExactSim.singleSourceLocal(g, src, ExactSimConf.optimized(1e-3, testAlpha, seed = 14))
+    val res = ExactSim.singleSource(g, src, ExactSimConf.optimized(1e-3, testAlpha, seed = 14))
     val p = Metrics.precisionAtK(res.scores, truth(src), k = 10, source = src)
     assert(p == 1.0, s"precision@10 = $p")
   }

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SimTestKit
-import repro.linalg.{LocalEngine, SparseVec}
+import repro.linalg.SparseVec
 
 class LinearizedSpec extends SimTestKit {
 
@@ -19,7 +19,7 @@ class LinearizedSpec extends SimTestKit {
 
   test("forward hop vectors: ‖π^ℓ‖₁ = (1−√c)(√c)^ℓ on graphs without dead ends") {
     val g = cycle7
-    val fwd = Linearized.forward(new LocalEngine(g.csr), 0, C, 12)
+    val fwd = Linearized.forward(g.csr, 0, C, 12)
     fwd.hops.zipWithIndex.foreach { case (h, ell) =>
       val expect = (1 - sqrtC) * math.pow(sqrtC, ell)
       assert(math.abs(l1(h) - expect) < 1e-12, s"hop $ell: ${l1(h)} vs $expect")
@@ -32,7 +32,7 @@ class LinearizedSpec extends SimTestKit {
       // π is summed from the stored hops, so it must match them with
       // truncation on as well as off.
       for (threshold <- Seq(0.0, 1e-3)) {
-        val fwd = Linearized.forward(new LocalEngine(g.csr), 0, C, 25, threshold)
+        val fwd = Linearized.forward(g.csr, 0, C, 25, threshold)
         val sum = fwd.hops.map(l1).sum
         assert(math.abs(fwd.pi.sum - sum) < 1e-9, s"threshold $threshold")
         assert(fwd.pi.sum <= 1.0 + 1e-9)
@@ -41,13 +41,13 @@ class LinearizedSpec extends SimTestKit {
 
   test("dead ends leak walk mass (path graph loses everything past the head)") {
     val g = path6 // source 0 has no in-neighbors
-    val fwd = Linearized.forward(new LocalEngine(g.csr), 0, C, 10)
+    val fwd = Linearized.forward(g.csr, 0, C, 10)
     assert(math.abs(fwd.pi.sum - (1 - sqrtC)) < 1e-12, "only the ℓ=0 mass survives")
   }
 
   test("truncation reduces nnz and perturbs entries by at most the threshold") {
     val g = rnd80
-    val eng = new LocalEngine(g.csr)
+    val eng = g.csr
     val full = Linearized.forward(eng, 3, C, 20)
     val thr = 1e-3
     val trunc = Linearized.forward(eng, 3, C, 20, threshold = thr)
@@ -62,14 +62,14 @@ class LinearizedSpec extends SimTestKit {
   }
 
   test("piNormSq equals Σ π(k)²") {
-    val fwd = Linearized.forward(new LocalEngine(rnd40.csr), 1, C, 15)
+    val fwd = Linearized.forward(rnd40.csr, 1, C, 15)
     val direct = fwd.pi.map(x => x * x).sum
     assert(math.abs(fwd.piNormSq - direct) < 1e-12)
   }
 
   test("backward with D = exact diagonal equals the exact column (battery)") {
     for (g <- Seq(star8, complete5, rnd40)) {
-      val eng = new LocalEngine(g.csr)
+      val eng = g.csr
       val fwd = Linearized.forward(eng, 1, C, Linearized.iterationsFor(C, 1e-9))
       val col = Linearized.backward(eng, fwd, exactD(g), C)
       col(1) = 1.0
@@ -79,7 +79,7 @@ class LinearizedSpec extends SimTestKit {
 
   test("backward is linear in D (scaling D scales the off-source output)") {
     val g = rnd40
-    val eng = new LocalEngine(g.csr)
+    val eng = g.csr
     val fwd = Linearized.forward(eng, 2, C, 15)
     val d1 = Array.fill(g.n)(0.4)
     val d2 = d1.map(_ * 2)
@@ -89,7 +89,7 @@ class LinearizedSpec extends SimTestKit {
   }
 
   test("hop storage accounting: dense bytes = (L+1)·n·8") {
-    val fwd = Linearized.forward(new LocalEngine(rnd40.csr), 0, C, 9)
+    val fwd = Linearized.forward(rnd40.csr, 0, C, 9)
     assert(fwd.denseBytes == 10L * rnd40.n * 8)
     assert(fwd.hopBytes == fwd.hops.map(_.bytes).sum)
   }

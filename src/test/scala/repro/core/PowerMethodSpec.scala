@@ -76,11 +76,10 @@ class PowerMethodSpec extends SimTestKit {
 
   for (name <- Seq("cycle7", "path6", "star8", "complete5", "pair", "rnd40", "rnd60u", "rnd80"))
     test(s"linearization with exact D reproduces the exact SimRank column on $name") {
-      import repro.linalg.LocalEngine
       val g = battery.find(_.name == name).get
       val s = groundTruth(g)
       val d = exactD(g)
-      val eng = new LocalEngine(g.csr)
+      val eng = g.csr
       val src = g.n / 2
       val fwd = Linearized.forward(eng, src, C, Linearized.iterationsFor(C, 1e-9))
       val col = Linearized.backward(eng, fwd, d, C)

@@ -19,7 +19,7 @@ class MemoryModelSpec extends SimTestKit {
   test("dense bytes are a whole number of n·8 vectors bounded by (L+1)·n·8") {
     val g = rnd40
     val conf = ExactSimConf.optimized(0.05, 1.0, seed = 2)
-    val res = ExactSim.singleSourceLocal(g, 0, conf)
+    val res = ExactSim.singleSource(g, 0, conf)
     // Truncation can kill the hop distribution before L, so the stored count
     // is between 1 and L+1 full vectors.
     assert(res.denseHopVectorBytes % (g.n * 8L) == 0)

@@ -32,6 +32,10 @@ class MetricsSpec extends SimTestKit {
     assert(Metrics.precisionAtK(truth, truth, 3, source = 0) == 1.0)
     val est = Array(0.0, 0.9, 0.05, 0.7, 0.8) // swaps node 2 out for node 4
     assert(math.abs(Metrics.precisionAtK(est, truth, 3, source = 0) - 2.0 / 3) < 1e-12)
+    // Fewer candidates than k: both lists hold all three, which is a full match.
+    val four = Array(1.0, 0.4, 0.3, 0.2)
+    assert(Metrics.precisionAtK(four, four, 10, source = 0) == 1.0)
+    assert(Metrics.precisionAtK(Array(1.0, 0.4, 0.3, 0.2), Array(1.0, 0.2, 0.3, 0.4), 2, source = 0) == 0.5)
   }
 
   test("topK agrees with DuckDB ORDER BY ... LIMIT k") {
